@@ -163,13 +163,6 @@ type CheckpointStats struct {
 	// the segmented log's whole-file replacement for tail rotation
 	// (cumulative).
 	WALSegmentsRemoved uint64
-
-	// WALTailBytesRewritten counted the bytes the pre-segmentation log
-	// rotation copied to keep records committed during build phases. The
-	// segmented log never rewrites a byte — publish deletes whole sealed
-	// segments — so this is now always 0. The field survives for
-	// compatibility, and the pipeline regression tests pin it to zero.
-	WALTailBytesRewritten uint64
 }
 
 // CheckpointStats returns the pipeline's activity counters since Open.

@@ -1,10 +1,11 @@
 package sharded
 
 import (
+	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/store"
 	"repro/peb"
 )
 
@@ -105,49 +106,111 @@ func TestDecisionLogCompaction(t *testing.T) {
 	}
 }
 
-// TestDecisionLogCompactionCrashAfterTruncate covers the torn compaction:
-// a crash can land between the truncate and the watermark append, leaving
-// an empty decision log. That is safe — compaction only runs when no
-// shard log holds any transaction record — and the next open must come up
-// clean and serve transactions.
-func TestDecisionLogCompactionCrashAfterTruncate(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Shards: 2, Dir: dir, DB: peb.Options{Durability: peb.DurabilitySync}}
+// compactionCrashSetup opens a sharded DB on fs and commits three
+// cross-shard batches over four users, one user per shard, so the
+// decision log holds several verdicts for the next Checkpoint to compact.
+// Single-shard updates then roll every shard's small log segments past
+// the transaction records, so the Checkpoint drops them all and the
+// decision log's watermark is the only surviving record of the largest
+// id. It returns the open DB, each user's last acknowledged state, and
+// the largest transaction id handed out.
+func compactionCrashSetup(t *testing.T, fs store.VFS) (*DB, map[UserID]Object, uint64) {
+	t.Helper()
+	opts := crashShardedOpts(fs)
+	opts.DB.WALSegmentBytes = 256
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(33))
-	uids := []UserID{1, 2}
-	if err := db.Apply(crossShardBatch(t, db, rng, uids, 1)); err != nil {
-		t.Fatal(err)
+	uids := []UserID{1, 2, 3, 4}
+	for now := 1.0; now <= 3; now++ {
+		if err := db.Apply(crossShardBatch(t, db, rng, uids, now)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for now := 4.0; now <= 12; now++ {
+		for _, uid := range uids {
+			o, _, err := db.Lookup(uid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.T = now
+			if err := db.Upsert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	acked := make(map[UserID]Object, len(uids))
+	for _, uid := range uids {
+		o, ok, err := db.Lookup(uid)
+		if err != nil || !ok {
+			t.Fatalf("user %d missing before the checkpoint: ok=%v err=%v", uid, ok, err)
+		}
+		acked[uid] = o
+	}
+	if db.txnDecisions == 0 {
+		t.Fatal("no decisions logged; the batches did not take the 2PC path")
+	}
+	return db, acked, db.nextTxn - 1
+}
+
+// TestDecisionLogCompactionCrash sweeps a fault point over every
+// filesystem operation of a sharded Checkpoint that compacts a non-empty
+// decision log: the shards' own checkpoints, then the log's roll (seal
+// fsync), the watermark's append and fsync, and the removal of the sealed
+// segments — the last point crashes after the removal. Under both reboot
+// models, the reopened router must come up, keep transaction ids above
+// every id handed out before the crash, serve every user's last
+// acknowledged state, and commit a new cross-shard batch.
+func TestDecisionLogCompactionCrash(t *testing.T) {
+	golden := store.NewCrashFS()
+	db, _, _ := compactionCrashSetup(t, golden)
+	before := golden.Ops()
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the torn state: empty the decision log behind the router's
-	// back, as a crash between Truncate and the watermark append would.
-	if err := db.txnLog.Truncate(); err != nil {
-		t.Fatal(err)
+	total := golden.Ops() - before
+	if segs := db.txnLog.Segments(); len(segs) != 1 || db.txnLog.Size() != 17 {
+		t.Fatalf("golden compaction left segments %v holding %d bytes, want one 17-byte watermark", segs, db.txnLog.Size())
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := filepath.Glob(filepath.Join(dir, "txn.log")); err != nil || len(fi) != 1 {
-		t.Fatalf("decision log missing after truncate: %v %v", fi, err)
-	}
 
-	db2, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if err := db2.Apply(crossShardBatch(t, db2, rng, uids, 2)); err != nil {
-		t.Fatal(err)
-	}
-	for _, uid := range uids {
-		if _, ok, err := db2.Lookup(uid); err != nil || !ok {
-			t.Fatalf("user %d lost after torn compaction: ok=%v err=%v", uid, ok, err)
+	for _, keepUnsynced := range []bool{false, true} {
+		for k := 0; k <= total; k++ {
+			label := fmt.Sprintf("k=%d keep=%v", k, keepUnsynced)
+			fs := store.NewCrashFS()
+			db, acked, maxIssued := compactionCrashSetup(t, fs)
+			fs.SetFailAfter(k)
+			_ = db.Checkpoint() // fails at the fault point by design
+			if !fs.Dead() {
+				fs.CutPower()
+			}
+			_ = db.Close() // on the dead filesystem: releases handles only
+			fs.Reboot(keepUnsynced)
+
+			db, err := Open(db.opts)
+			if err != nil {
+				t.Fatalf("%s: recovery failed: %v", label, err)
+			}
+			if db.nextTxn <= maxIssued {
+				t.Fatalf("%s: nextTxn %d reuses an id handed out before the crash (max %d)", label, db.nextTxn, maxIssued)
+			}
+			for uid, want := range acked {
+				got, ok, err := db.Lookup(uid)
+				if err != nil || !ok || got != want {
+					t.Fatalf("%s: user %d = %+v (ok=%v, err=%v), want acknowledged %+v", label, uid, got, ok, err, want)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(k)))
+			if err := db.Apply(crossShardBatch(t, db, rng, []UserID{1, 2, 3, 4}, 10)); err != nil {
+				t.Fatalf("%s: cross-shard batch after recovery: %v", label, err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("%s: close: %v", label, err)
+			}
 		}
 	}
 }

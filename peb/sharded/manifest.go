@@ -34,9 +34,10 @@ func unmarshalManifest(data []byte) (manifest, error) {
 // a verdict byte; a later record for the same id overrides an earlier one
 // — which is what lets the router durably RETRACT a commit decision whose
 // fsync failed (the bytes may have reached disk anyway, so simply not
-// having acked it is not enough). The log is append-only between
-// checkpoints; a full checkpoint pass compacts it to a single watermark
-// record (see compactDecisionLog).
+// having acked it is not enough). The log is a segmented log
+// (<Dir>/txn.log.NNNNNN), append-only between checkpoints; a full
+// checkpoint pass compacts it to a single watermark record (see
+// compactDecisionLog).
 
 const (
 	verdictAbort  byte = 0
@@ -46,8 +47,10 @@ const (
 // openDecisionLog opens the router's transaction decision log and returns
 // it with the committed-id set (after overrides) and the largest id
 // recorded.
-func openDecisionLog(fsys store.VFS, path string) (*store.WAL, map[uint64]bool, uint64, error) {
-	log, records, err := store.OpenWAL(fsys, path, store.WALSyncAlways)
+func openDecisionLog(fsys store.VFS, path string) (*store.SegmentedWAL, map[uint64]bool, uint64, error) {
+	// Decision records are 9 bytes, so the default roll threshold is never
+	// reached between checkpoints: the log rolls only when it compacts.
+	log, records, err := store.OpenSegmentedWAL(fsys, path, store.WALSyncAlways, 0)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("sharded: open decision log: %w", err)
 	}
@@ -96,7 +99,7 @@ func (db *DB) logDecision(txnID uint64, commit bool) error {
 	return nil
 }
 
-// compactDecisionLog rewrites the decision log to a single watermark
+// compactDecisionLog folds the decision log down to a single watermark
 // record. Safe only when every recorded verdict has become unreachable,
 // which is exactly the state after a full successful checkpoint pass:
 // the caller (Checkpoint) holds the router's read barrier, so no
@@ -110,15 +113,22 @@ func (db *DB) logDecision(txnID uint64, commit bool) error {
 // were just truncated. The single surviving record carries the highest id
 // handed out so far, with an abort verdict — for an id no participant
 // holds a record of, abort and absent mean the same thing.
+//
+// The order is roll, watermark, drop: the watermark is durable in a fresh
+// segment before the sealed segments holding the old verdicts are
+// deleted, so a crash at any step leaves the watermark, the old verdicts,
+// or both — never an empty log. Replaying both is harmless: the old
+// verdicts are unreachable, and the watermark only carries the maximum id.
 func (db *DB) compactDecisionLog() error {
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
 	if db.txnLog == nil || db.txnDecisions == 0 {
 		return nil
 	}
-	if err := db.txnLog.Truncate(); err != nil {
-		return fmt.Errorf("sharded: compact decision log: %w", err)
+	if err := db.txnLog.Roll(); err != nil {
+		return fmt.Errorf("sharded: compact decision log: roll: %w", err)
 	}
+	mark := db.txnLog.Mark()
 	var buf [9]byte
 	binary.BigEndian.PutUint64(buf[:8], db.nextTxn-1)
 	buf[8] = verdictAbort
@@ -128,6 +138,11 @@ func (db *DB) compactDecisionLog() error {
 	}
 	if err := db.txnLog.Commit(tok); err != nil {
 		return fmt.Errorf("sharded: compact decision log: watermark sync: %w", err)
+	}
+	// A failed delete leaves sealed segments that replay harmlessly; the
+	// decision count stays up so the next checkpoint retries the drop.
+	if _, _, err := db.txnLog.DropThrough(mark); err != nil {
+		return fmt.Errorf("sharded: compact decision log: %w", err)
 	}
 	db.txnDecisions = 0
 	return nil

@@ -178,12 +178,20 @@ type DB struct {
 	ownMu sync.Mutex
 	owner map[UserID]int
 
+	// userMu serializes the routed single-user writes (Upsert, Remove) of
+	// one user, striped by user id. Such a write spans the new shard's
+	// write, the owner-map update and the eviction from the old shard;
+	// interleaved with another write of the same user, the eviction can
+	// delete the copy the other write just made. Operations under the
+	// write side of smu exclude these writes and take no stripe.
+	userMu [64]sync.Mutex
+
 	// Cross-shard transaction state: txnLog is the router's decision log
 	// (non-nil only with durability) — an appended id IS the commit point
 	// of that transaction; nextTxn allocates ids above every committed or
 	// observed id so a recycled id can never match a stale prepared record.
 	txnMu   sync.Mutex
-	txnLog  *store.WAL
+	txnLog  *store.SegmentedWAL
 	nextTxn uint64
 	// txnDecisions counts verdicts appended since the last compaction —
 	// zero means the log already holds nothing but its watermark.
@@ -293,7 +301,7 @@ func Open(opts Options) (*DB, error) {
 	// The decision log must be read before the shards open: each shard's
 	// recovery resolves markerless prepared records against it.
 	var (
-		txnLog    *store.WAL
+		txnLog    *store.SegmentedWAL
 		committed map[uint64]bool
 		maxTxn    uint64
 	)
@@ -499,6 +507,9 @@ func (db *DB) Upsert(o Object) error {
 	if db.closed {
 		return ErrClosed
 	}
+	mu := &db.userMu[uint64(o.UID)%uint64(len(db.userMu))]
+	mu.Lock()
+	defer mu.Unlock()
 	target := db.shardOf(o.X, o.Y)
 	if err := db.shards[target].Upsert(o); err != nil {
 		return err
@@ -526,6 +537,9 @@ func (db *DB) Remove(uid UserID) error {
 	if db.closed {
 		return ErrClosed
 	}
+	mu := &db.userMu[uint64(uid)%uint64(len(db.userMu))]
+	mu.Lock()
+	defer mu.Unlock()
 	db.ownMu.Lock()
 	idx, ok := db.owner[uid]
 	db.ownMu.Unlock()
